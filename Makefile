@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench bench-kernels telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
+.PHONY: check vet staticcheck build test race race-ring race-serve race-chaos parity opt-parity opt-golden shard-parity bench bench-kernels bench-smoke telemetry-overhead fuzz-smoke e2e-encrypted soak-chaos trend
 
 ## check: the full CI gate — vet, staticcheck, build, tests, the race
 ## detector (including the ring worker-pool hammer), and the
@@ -95,11 +95,20 @@ bench:
 	$(GO) test -run xxx -bench 'InferExecutorCNN1|InferLegacyCNN1' -benchtime 5x -timeout 30m ./internal/henn/
 
 ## bench-kernels: ring kernel micro-benchmarks — NTT, pointwise multiply,
-## rescale division and cached-scalar multiply per limb count, serial vs
-## pool-parallel, with allocation counts. The parallel/serial ratio at a
-## given limb count is the limb-level speedup; it scales with GOMAXPROCS.
+## the fused plaintext inner product (MulCoeffsSum, against the
+## MulCoeffs+Add chain it replaces), rescale division and cached-scalar
+## multiply per limb count, serial vs pool-parallel, with allocation
+## counts. The parallel/serial ratio at a given limb count is the
+## limb-level speedup; it scales with GOMAXPROCS.
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkKernel' -benchtime 20x -benchmem -timeout 30m ./internal/ring/
+
+## bench-smoke: the serving benchmark (perfbench/) is its own Go module,
+## so the root `go test ./...` never compiles it. Vet it and run its
+## tiny-model smoke tests, so an internal API change cannot break the
+## benchmark unnoticed. Writes nothing under perfbench/.
+bench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 ## telemetry-overhead: per-op executor cost with telemetry off / metrics
 ## on / metrics+tracing on. The disabled case must stay within noise of

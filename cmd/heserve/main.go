@@ -288,7 +288,8 @@ func main() {
 			keyed.Routes(mux)
 			slog.Info("encrypted key-holder routes mounted", "shards", sp.NumShards(),
 				"rotations", len(sp.Rotations()), "max_clients", *maxClients,
-				"key_store", *keyStore, "resident_bundles", keyed.Store().Len())
+				"key_store", *keyStore, "resident_bundles", keyed.Store().Len(),
+				"optimizer", keyed.OptResult().Summary())
 		}
 	} else {
 		bp, err := henn.CompileBatched(model, slots, *batch)
@@ -354,7 +355,8 @@ func main() {
 			keyed.Routes(mux)
 			slog.Info("encrypted key-holder routes mounted",
 				"rotations", len(base.Rotations()), "max_clients", *maxClients,
-				"key_store", *keyStore, "resident_bundles", keyed.Store().Len())
+				"key_store", *keyStore, "resident_bundles", keyed.Store().Len(),
+				"optimizer", keyed.OptResult().Summary())
 		}
 	}
 

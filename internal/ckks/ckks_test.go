@@ -436,3 +436,76 @@ func TestPaperParametersShape(t *testing.T) {
 		t.Fatalf("scale %g", p.Scale)
 	}
 }
+
+// TestRecombineMatchesChain pins the fused inner product's contract:
+// Recombine over plaintext terms, bare terms and an integer-weighted
+// term decrypts to the expected combination and is bit-identical to
+// the MulPlain/MulInt/Add chain it replaces, including its scale.
+func TestRecombineMatchesChain(t *testing.T) {
+	k := tiny(t)
+	rng := rand.New(rand.NewSource(9))
+	n := k.ctx.Params.Slots()
+	L := k.ctx.Params.MaxLevel()
+	scale := k.ctx.Params.Scale
+	ptScale := k.ctx.Params.QiFloat(L)
+	const terms = 6
+	xs := make([][]float64, terms)
+	ws := make([][]float64, terms)
+	cts := make([]*Ciphertext, terms)
+	pts := make([]*Plaintext, terms)
+	weights := make([]int64, terms)
+	// Terms 0..3 carry plaintexts; 4 and 5 are bare, 5 weighted by −3.
+	// The bare terms are encrypted at the product scale so every term
+	// reaches the same scale.
+	for j := range cts {
+		xs[j] = randVec(rng, n, 1)
+		weights[j] = 1
+		if j < 4 {
+			ws[j] = randVec(rng, n, 1)
+			cts[j] = k.ept.Encrypt(k.enc.Encode(xs[j], L, scale))
+			pts[j] = k.enc.Encode(ws[j], L, ptScale)
+		} else {
+			cts[j] = k.ept.Encrypt(k.enc.Encode(xs[j], L, scale*ptScale))
+		}
+	}
+	weights[5] = -3
+
+	got := k.ev.Recombine(cts, pts, weights)
+
+	acc := k.ev.MulPlain(cts[0], pts[0])
+	for j := 1; j < terms; j++ {
+		term := cts[j]
+		if pts[j] != nil {
+			term = k.ev.MulPlain(term, pts[j])
+		}
+		if weights[j] != 1 {
+			term = k.ev.MulInt(term, weights[j])
+		}
+		acc = k.ev.Add(acc, term)
+	}
+	limbs := k.ctx.R.Limbs(L, false)
+	if got.Level != acc.Level || got.Scale != acc.Scale {
+		t.Fatalf("fused (level %d, scale %v), chain (level %d, scale %v)", got.Level, got.Scale, acc.Level, acc.Scale)
+	}
+	if !k.ctx.R.Equal(limbs, got.C0, acc.C0) || !k.ctx.R.Equal(limbs, got.C1, acc.C1) {
+		t.Fatal("fused Recombine is not bit-identical to the MulPlain/MulInt/Add chain")
+	}
+	dec := k.enc.Decode(k.dec.DecryptNew(k.ev.Rescale(got)))
+	for i := 0; i < n; i++ {
+		want := xs[4][i] - 3*xs[5][i]
+		for j := 0; j < 4; j++ {
+			want += xs[j][i] * ws[j][i]
+		}
+		if math.Abs(dec[i]-want) > 1e-3 {
+			t.Fatalf("slot %d: got %g want %g", i, dec[i], want)
+		}
+	}
+
+	// All-bare recombination (the shard-sum / residue form) needs no
+	// plaintext slice.
+	plain := k.ev.Recombine(cts[4:], nil, []int64{1, 1})
+	sum := k.ev.Add(cts[4], cts[5])
+	if !k.ctx.R.Equal(limbs, plain.C0, sum.C0) || !k.ctx.R.Equal(limbs, plain.C1, sum.C1) {
+		t.Fatal("plaintext-free Recombine differs from Add")
+	}
+}

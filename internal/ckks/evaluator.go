@@ -162,6 +162,63 @@ func (ev *Evaluator) MulInt(ct *Ciphertext, n int64) *Ciphertext {
 	return out
 }
 
+// Recombine returns the linear combination Σⱼ weights[j]·(cts[j] ⊙ pts[j])
+// as one ring pass: the fused form of a diagonal matrix–vector
+// product's MulPlain terms and of the Fig. 5 integer recomposition. pts
+// may be nil, and a nil pts[j] makes the term cts[j] itself; a weight
+// other than 1 multiplies the term by that exact integer first. Every
+// term must sit at one level and reach one scale (cts[j].Scale·pts[j].Scale
+// for a plaintext term); the result carries term 0's scale. Modular
+// arithmetic is exact, so the result is bit-identical to the
+// MulPlain/MulInt/Add chain it replaces — with one output allocation
+// and one reduction per coefficient instead of one per term.
+func (ev *Evaluator) Recombine(cts []*Ciphertext, pts []*Plaintext, weights []int64) *Ciphertext {
+	if len(cts) == 0 || len(weights) != len(cts) || (pts != nil && len(pts) != len(cts)) {
+		panic(fmt.Sprintf("ckks: Recombine with %d ciphertexts, %d plaintexts, %d weights",
+			len(cts), len(pts), len(weights)))
+	}
+	level := cts[0].Level
+	var scale float64
+	as0 := make([]*ring.Poly, len(cts))
+	as1 := make([]*ring.Poly, len(cts))
+	var bs []*ring.Poly
+	for j, ct := range cts {
+		if ct.Level != level {
+			panic(fmt.Sprintf("ckks: Recombine level mismatch %d vs %d (use DropLevel)", ct.Level, level))
+		}
+		s := ct.Scale
+		if pts != nil && pts[j] != nil {
+			pt := pts[j]
+			if pt.Level != level {
+				panic("ckks: Recombine plaintext level mismatch")
+			}
+			if !pt.IsNTT {
+				panic("ckks: Recombine requires NTT plaintexts")
+			}
+			if bs == nil {
+				bs = make([]*ring.Poly, len(cts))
+			}
+			bs[j] = pt.Value
+			s *= pt.Scale
+		}
+		if j == 0 {
+			scale = s
+		} else if !scaleClose(s, scale) {
+			panic(fmt.Sprintf("ckks: Recombine term %d scale 2^%.4f vs 2^%.4f", j, math.Log2(s), math.Log2(scale)))
+		}
+		if weights[j] != 1 {
+			ct = ev.MulInt(ct, weights[j])
+		}
+		as0[j], as1[j] = ct.C0, ct.C1
+	}
+	r := ev.ctx.R
+	limbs := r.Limbs(level, false)
+	out := &Ciphertext{C0: r.NewPolyQ(level), C1: r.NewPolyQ(level), Level: level, Scale: scale}
+	r.MulCoeffsSum(limbs, as0, bs, out.C0)
+	r.MulCoeffsSum(limbs, as1, bs, out.C1)
+	return out
+}
+
 // AddConst adds the real constant c to every slot.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 	// Encode c at the ciphertext's exact scale: constant vectors encode to

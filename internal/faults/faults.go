@@ -342,4 +342,9 @@ func (f *Injector) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	return f.do("AddPlainPt", func() henn.Ct { return f.inner.AddPlainPt(ct, pt) })
 }
 
+// Recombine implements henn.Engine.
+func (f *Injector) Recombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
+	return f.do("Recombine", func() henn.Ct { return f.inner.Recombine(args, pts, weights) })
+}
+
 var _ henn.Engine = (*Injector)(nil)

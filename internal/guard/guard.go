@@ -583,51 +583,6 @@ func (g *GuardedEngine) MulInt(ct henn.Ct, n int64) henn.Ct {
 }
 
 // Rescale implements henn.Engine.
-// Recombine implements ir.Recombiner so a guarded engine keeps the
-// executor's fused-recombine fast path. It delegates to the inner
-// engine's fused implementation when present (falling back to the
-// equivalent MulInt/Add chain otherwise) and tracks the accumulated
-// noise bound Σᵢ max(|wᵢ|,1)·noiseᵢ exactly like the chain would.
-func (g *GuardedEngine) Recombine(args []henn.Ct, weights []int64) henn.Ct {
-	const op = "Recombine"
-	g.pre(op)
-	ts := make([]*trackedCt, len(args))
-	noise := 0.0
-	for i, a := range args {
-		ts[i] = g.in(op, a)
-		if !scaleClose(ts[i].scale, ts[0].scale, g.cfg.ScaleTol) {
-			g.fail(op, fmt.Errorf("%w: operand %d scale 2^%.4f vs 2^%.4f",
-				ErrScaleDrift, i, math.Log2(ts[i].scale), math.Log2(ts[0].scale)))
-		}
-		f := math.Abs(float64(weights[i]))
-		if f < 1 {
-			f = 1
-		}
-		noise += ts[i].noise * f
-	}
-	ct := g.call(op, func() henn.Ct {
-		if rc, ok := g.inner.(interface {
-			Recombine(args []henn.Ct, weights []int64) henn.Ct
-		}); ok {
-			inner := make([]henn.Ct, len(ts))
-			for i, t := range ts {
-				inner[i] = t.ct
-			}
-			return rc.Recombine(inner, weights)
-		}
-		acc := ts[0].ct // weights[0] = 1
-		for i := 1; i < len(ts); i++ {
-			c := ts[i].ct
-			if weights[i] != 1 {
-				c = g.inner.MulInt(c, weights[i])
-			}
-			acc = g.inner.Add(acc, c)
-		}
-		return acc
-	})
-	return g.out(op, ct, noise, ts[0].scale)
-}
-
 func (g *GuardedEngine) Rescale(ct henn.Ct) henn.Ct {
 	const op = "Rescale"
 	g.pre(op)
@@ -757,6 +712,52 @@ func (g *GuardedEngine) AddPlainPt(ct henn.Ct, pt henn.Pt) henn.Ct {
 	}
 	out := g.call(op, func() henn.Ct { return g.inner.AddPlainPt(t.ct, tp.pt) })
 	return g.out(op, out, t.noise, t.scale)
+}
+
+// Recombine implements henn.Engine. Every ciphertext and plaintext
+// operand is validated as MulPlainPt and Add would validate it, every
+// term must reach term 0's scale, and the tracked noise bound is the
+// sum, in argument order, of exactly the bounds the unfused sequence
+// would have produced: MulPlain(noiseᵢ, ‖ptᵢ‖) for a factor term,
+// max(|wᵢ|,1)·noiseᵢ for a bare one. The budget is checked once on the
+// sum, which is at least as strict as checking each term (each term's
+// bound is part of the sum).
+func (g *GuardedEngine) Recombine(args []henn.Ct, pts []henn.Pt, weights []int64) henn.Ct {
+	const op = "Recombine"
+	g.pre(op)
+	if len(args) == 0 || len(weights) != len(args) || (pts != nil && len(pts) != len(args)) {
+		g.fail(op, fmt.Errorf("%w: %d ciphertexts, %d plaintexts, %d weights",
+			ErrInvalidPlaintext, len(args), len(pts), len(weights)))
+	}
+	inner := make([]henn.Ct, len(args))
+	var innerPts []henn.Pt
+	if pts != nil {
+		innerPts = make([]henn.Pt, len(pts))
+	}
+	noise, scale := 0.0, 0.0
+	for i, a := range args {
+		t := g.in(op, a)
+		inner[i] = t.ct
+		f := math.Abs(float64(weights[i]))
+		if f < 1 {
+			f = 1
+		}
+		n, s := t.noise*f, t.scale
+		if pts != nil && pts[i] != nil {
+			tp := g.inPt(op, t, pts[i])
+			innerPts[i] = tp.pt
+			n, s = g.model.MulPlain(t.noise, tp.maxScaled)*f, t.scale*tp.scale
+		}
+		if i == 0 {
+			scale = s
+		} else if !scaleClose(s, scale, g.cfg.ScaleTol) {
+			g.fail(op, fmt.Errorf("%w: term %d scale 2^%.4f vs term 0 2^%.4f",
+				ErrScaleDrift, i, math.Log2(s), math.Log2(scale)))
+		}
+		noise += n
+	}
+	ct := g.call(op, func() henn.Ct { return g.inner.Recombine(inner, innerPts, weights) })
+	return g.out(op, ct, noise, scale)
 }
 
 var (

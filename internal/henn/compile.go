@@ -3,10 +3,8 @@ package henn
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"cnnhe/internal/henn/exec"
-	"cnnhe/internal/henn/ir"
 	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/tensor"
@@ -31,65 +29,32 @@ type Plan struct {
 	// lowering unchanged.
 	Opt *opt.Options
 
-	// prepared caches one lowered, optimized, plaintext-pre-encoded graph
-	// per engine; the zero value is ready to use.
-	mu         sync.Mutex
-	prepared   map[Engine]*exec.Prepared
-	optResults map[Engine]*opt.Result
+	// cache holds one lowered, optimized, plaintext-pre-encoded graph
+	// per engine.
+	cache prepCache
 }
 
-// prepare lowers the plan for e (once per engine), optimizes the graph,
-// and pre-encodes every plaintext operand at its statically inferred
-// (level, scale).
+// prepare returns the plan's graph prepared for e, lowering, optimizing
+// and pre-encoding it on first use per engine.
 func (p *Plan) prepare(e Engine) (*exec.Prepared, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pr, ok := p.prepared[e]; ok {
-		telPrepare(true)
-		return pr, nil
-	}
-	telPrepare(false)
-	g, err := p.Lower(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeLowered(e, g, p.Opt)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := exec.Prepare(e, res.Graph)
-	if err != nil {
-		return nil, err
-	}
-	if p.prepared == nil {
-		p.prepared = map[Engine]*exec.Prepared{}
-		p.optResults = map[Engine]*opt.Result{}
-	}
-	p.prepared[e] = pr
-	p.optResults[e] = res
-	return pr, nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.pr, err
 }
 
 // OptResult returns the optimizer outcome for e, preparing the plan if
 // needed (before/after stats and per-pass deltas, for CLIs and bench
 // reports).
 func (p *Plan) OptResult(e Engine) (*opt.Result, error) {
-	if _, err := p.prepare(e); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.optResults[e], nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.res, err
 }
 
-// optimizeLowered runs the graph optimizer and records its pass metrics.
-func optimizeLowered(e Engine, g *ir.Graph, o *opt.Options) (*opt.Result, error) {
-	res, err := opt.Optimize(e, g, o)
-	if err != nil {
-		return nil, err
-	}
-	telOptimize(res)
-	return res, nil
+// Optimize lowers the plan for e's parameters and runs the configured
+// optimizer (p.Opt) over the graph, without preparing it. Lowering is
+// symbolic, so e may be a ParamsOnlyEngine: the result is the graph
+// every engine with those parameters executes.
+func (p *Plan) Optimize(e Engine) (*opt.Result, error) {
+	return lowerOptimized(e, p.Lower, p.Opt)
 }
 
 // Stage is one homomorphic pipeline step.
@@ -435,8 +400,8 @@ type absStage struct {
 	bias []float64
 	// Activation: per-unit SLAF coefficients; unitOf maps a global flat
 	// index (< in.flat) to its coefficient group.
-	slaf   *nn.SLAF
-	unitOf func(i int) int
+	slaf    *nn.SLAF
+	unitOf  func(i int) int
 	in, out tshape
 }
 

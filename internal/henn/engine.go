@@ -185,20 +185,28 @@ func (e *RNSEngine) MulInt(ct Ct, n int64) Ct {
 	return e.Ev.MulInt(ct.(*ckks.Ciphertext), n)
 }
 
-// Recombine implements ir.Recombiner: Σᵢ weights[i]·args[i] as one
-// fused engine call, accumulating the same residues the MulInt/Add
-// chain would (elided MulInt for weight 1 is a residue identity), so
-// the result is bit-identical to the unfused evaluation.
-func (e *RNSEngine) Recombine(args []Ct, weights []int64) Ct {
-	acc := args[0].(*ckks.Ciphertext) // weights[0] = 1
-	for i := 1; i < len(args); i++ {
-		c := args[i].(*ckks.Ciphertext)
-		if weights[i] != 1 {
-			c = e.Ev.MulInt(c, weights[i])
-		}
-		acc = e.Ev.Add(acc, c)
+// Recombine implements Engine with the fused ckks.Evaluator.Recombine.
+func (e *RNSEngine) Recombine(args []Ct, pts []Pt, weights []int64) Ct {
+	return rnsRecombine(e.Ev, args, pts, weights)
+}
+
+// rnsRecombine unwraps engine handles for ckks.Evaluator.Recombine, the
+// one inner-product implementation both RNS engines share.
+func rnsRecombine(ev *ckks.Evaluator, args []Ct, pts []Pt, weights []int64) Ct {
+	cts := make([]*ckks.Ciphertext, len(args))
+	for i, a := range args {
+		cts[i] = a.(*ckks.Ciphertext)
 	}
-	return acc
+	var ps []*ckks.Plaintext
+	if pts != nil {
+		ps = make([]*ckks.Plaintext, len(pts))
+		for i, p := range pts {
+			if p != nil {
+				ps[i] = p.(*ckks.Plaintext)
+			}
+		}
+	}
+	return ev.Recombine(cts, ps, weights)
 }
 
 // Rescale implements Engine.
@@ -398,16 +406,23 @@ func (e *BigEngine) MulInt(ct Ct, n int64) Ct {
 	return e.Ev.MulInt(ct.(*ckksbig.Ciphertext), n)
 }
 
-// Recombine implements ir.Recombiner with the same bit-identity
-// contract as RNSEngine.Recombine.
-func (e *BigEngine) Recombine(args []Ct, weights []int64) Ct {
-	acc := args[0].(*ckksbig.Ciphertext) // weights[0] = 1
-	for i := 1; i < len(args); i++ {
-		c := args[i].(*ckksbig.Ciphertext)
+// Recombine implements Engine as the plain reference chain — MulPlain,
+// MulInt and Add term by term — that the fused RNS kernel must match.
+func (e *BigEngine) Recombine(args []Ct, pts []Pt, weights []int64) Ct {
+	var acc *ckksbig.Ciphertext
+	for i, a := range args {
+		c := a.(*ckksbig.Ciphertext)
+		if pts != nil && pts[i] != nil {
+			c = e.Ev.MulPlain(c, pts[i].(*ckksbig.Plaintext))
+		}
 		if weights[i] != 1 {
 			c = e.Ev.MulInt(c, weights[i])
 		}
-		acc = e.Ev.Add(acc, c)
+		if acc == nil {
+			acc = c
+		} else {
+			acc = e.Ev.Add(acc, c)
+		}
 	}
 	return acc
 }

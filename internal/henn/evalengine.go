@@ -153,6 +153,11 @@ func (e *RNSEvalEngine) MulInt(ct Ct, n int64) Ct {
 	return e.Ev.MulInt(ct.(*ckks.Ciphertext), n)
 }
 
+// Recombine implements Engine with the fused ckks.Evaluator.Recombine.
+func (e *RNSEvalEngine) Recombine(args []Ct, pts []Pt, weights []int64) Ct {
+	return rnsRecombine(e.Ev, args, pts, weights)
+}
+
 // Rescale implements Engine.
 func (e *RNSEvalEngine) Rescale(ct Ct) Ct { return e.Ev.Rescale(ct.(*ckks.Ciphertext)) }
 

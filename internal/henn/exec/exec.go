@@ -81,12 +81,12 @@ type task struct {
 // Prepared is a validated graph with its plaintext operands pre-encoded
 // for one engine. Immutable after Prepare; share freely across Runs.
 type Prepared struct {
-	e  ir.Engine
-	rc ir.Recombiner // non-nil when e supports fused recombination
-	g  *ir.Graph
+	e ir.Engine
+	g *ir.Graph
 
-	pts        []ir.Pt // per-op pre-encoded operand (nil where none)
-	use        []int32 // static consumer count per op (+1 for the output)
+	pts        []ir.Pt   // per-op pre-encoded operand (nil where none)
+	termPts    [][]ir.Pt // per-OpRecombine pre-encoded factors (nil where none)
+	use        []int32   // static consumer count per op (+1 for the output)
 	encryptOps []int
 	outStages  [][]int // op ID → stages it is the Out of (optimized graphs may point several stage rows at one op)
 	stageOps   []int   // per-stage op count
@@ -119,15 +119,16 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 		e:         e,
 		g:         g,
 		pts:       make([]ir.Pt, len(g.Ops)),
+		termPts:   make([][]ir.Pt, len(g.Ops)),
 		use:       make([]int32, len(g.Ops)),
 		outStages: make([][]int, len(g.Ops)),
 		stageOps:  make([]int, len(g.Stages)),
 		opTask:    make([]int, len(g.Ops)),
 	}
-	p.rc, _ = e.(ir.Recombiner)
-	// Batch-encode the plaintext operands, deduplicating by content: a
-	// digest selects candidate specs, a full bit-compare confirms (so a
-	// digest collision can never alias two different operands).
+	// Batch-encode the plaintext operands — MulPlain/AddPlain operands
+	// and Recombine factors alike — deduplicating by content: a digest
+	// selects candidate specs, a full bit-compare confirms (so a digest
+	// collision can never alias two different operands).
 	type ptKey struct {
 		digest uint64
 		n      int
@@ -135,44 +136,55 @@ func Prepare(e ir.Engine, g *ir.Graph) (p *Prepared, err error) {
 		scale  float64
 	}
 	var specs []ir.PlainSpec
-	slot := make([]int, 0, len(g.Ops)) // spec index per encoding op
 	seen := map[ptKey][]int{}
-	for i := range g.Ops {
-		op := &g.Ops[i]
-		if op.Plain == nil {
-			continue
-		}
-		scale := op.Scale // OpAddPlain encodes at the result's (level, scale)
-		if op.Kind == ir.OpMulPlain {
-			scale = op.PtScale
-		}
-		k := ptKey{digest: plainDigest(op.Plain), n: len(op.Plain), level: op.Level, scale: scale}
-		dup := -1
+	spec := func(v []float64, level int, scale float64) int {
+		k := ptKey{digest: plainDigest(v), n: len(v), level: level, scale: scale}
 		for _, j := range seen[k] {
-			if plainBitsEqual(specs[j].Values, op.Plain) {
-				dup = j
-				break
+			if plainBitsEqual(specs[j].Values, v) {
+				return j
 			}
 		}
-		if dup >= 0 {
-			slot = append(slot, dup)
-			continue
-		}
 		seen[k] = append(seen[k], len(specs))
-		slot = append(slot, len(specs))
-		specs = append(specs, ir.PlainSpec{Values: op.Plain, Level: op.Level, Scale: scale})
+		specs = append(specs, ir.PlainSpec{Values: v, Level: level, Scale: scale})
+		return len(specs) - 1
+	}
+	slot := make([]int, len(g.Ops))       // spec index of op i's operand
+	termSlot := make([][]int, len(g.Ops)) // spec index per Recombine factor (-1: bare term)
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		if op.Plain != nil {
+			scale := op.Scale // OpAddPlain encodes at the result's (level, scale)
+			if op.Kind == ir.OpMulPlain {
+				scale = op.PtScale
+			}
+			slot[i] = spec(op.Plain, op.Level, scale)
+		}
+		if op.Kind == ir.OpRecombine && op.ArgPlain != nil {
+			termSlot[i] = make([]int, len(op.Args))
+			for j := range op.Args {
+				termSlot[i][j] = -1
+				if v, scale := op.TermPlain(j); v != nil {
+					termSlot[i][j] = spec(v, op.Level, scale)
+				}
+			}
+		}
 	}
 	encoded := e.EncodeVecsAt(specs)
 	if len(encoded) != len(specs) {
 		return nil, fmt.Errorf("exec: engine encoded %d of %d plaintexts", len(encoded), len(specs))
 	}
-	j := 0
 	for i := range g.Ops {
-		if g.Ops[i].Plain == nil {
-			continue
+		if g.Ops[i].Plain != nil {
+			p.pts[i] = encoded[slot[i]]
 		}
-		p.pts[i] = encoded[slot[j]]
-		j++
+		if termSlot[i] != nil {
+			p.termPts[i] = make([]ir.Pt, len(termSlot[i]))
+			for j, sj := range termSlot[i] {
+				if sj >= 0 {
+					p.termPts[i][j] = encoded[sj]
+				}
+			}
+		}
 	}
 	// Consumer counts, stage bookkeeping, encrypt prologue.
 	for i := range g.Ops {
@@ -463,21 +475,9 @@ func (rs *runState) execOp(id, worker, taskIdx int) (err error) {
 	case ir.OpDropLevel:
 		ct = p.e.DropLevel(args[0], op.Drop)
 	case ir.OpRecombine:
-		if p.rc != nil {
-			// Fused path: one engine call for the whole linear combination.
-			ct = p.rc.Recombine(args, op.Weights)
-		} else {
-			acc := args[0] // weight 1; carries the bias
-			for i := 1; i < len(args); i++ {
-				if op.Weights[i] == 1 {
-					// MulInt by 1 is a residue identity; skip the copy.
-					acc = p.e.Add(acc, args[i])
-					continue
-				}
-				acc = p.e.Add(acc, p.e.MulInt(args[i], op.Weights[i]))
-			}
-			ct = acc
-		}
+		// One engine call for the whole linear combination, plaintext
+		// factors included.
+		ct = p.e.Recombine(args, p.termPts[id], op.Weights)
 	default:
 		return fmt.Errorf("henn: %s: cannot execute %s op", name, op.Kind)
 	}

@@ -205,6 +205,30 @@ func (f *fakeEngine) AddPlainPt(ct ir.Ct, pt ir.Pt) ir.Ct {
 	return out
 }
 
+func (f *fakeEngine) Recombine(args []ir.Ct, pts []ir.Pt, weights []int64) ir.Ct {
+	out := f.lift(args[0], "Recombine")
+	for i := range out.v {
+		out.v[i] = 0
+	}
+	for j, a := range args {
+		c := a.(*fakeCt)
+		for i, x := range c.v {
+			if pts != nil && pts[j] != nil {
+				if p := pts[j].(*fakePt); i < len(p.v) {
+					x *= p.v[i]
+				} else {
+					x = 0
+				}
+			}
+			out.v[i] += float64(weights[j]) * x
+		}
+		if j == 0 && pts != nil && pts[0] != nil {
+			out.scale *= pts[0].(*fakePt).scale
+		}
+	}
+	return out
+}
+
 var _ ir.Engine = (*fakeEngine)(nil)
 
 // testGraph builds, by hand, a two-stage graph exercising every executor
@@ -338,6 +362,55 @@ func TestPlaintextDedup(t *testing.T) {
 	}
 	if p.pts[dup.ID] != p.pts[tri.ID] {
 		t.Fatal("same (key, level, scale) encoded twice")
+	}
+}
+
+// TestRecombineFactors: a Recombine with plaintext factors executes as
+// one engine call, its factors share the content-digest dedup with
+// ordinary operands (a factor equal to a MulPlain operand at the same
+// (level, scale) encodes once), and bare terms get no plaintext.
+func TestRecombineFactors(t *testing.T) {
+	w := []float64{1, 2, 3, 4}
+	v := []float64{-1, 0.5, 2, 1}
+	g := &ir.Graph{Slots: 4, Inputs: 1, Output: 3}
+	g.Stages = []ir.StageInfo{{Name: "encrypt", Out: 0}, {Name: "stage 0 (dot)", Out: 3, Record: true}}
+	g.Ops = []ir.Op{
+		{ID: 0, Kind: ir.OpEncrypt, Hoist: -1, Level: 3, Scale: 1},
+		{ID: 1, Kind: ir.OpRotate, Args: []int{0}, K: 1, Hoist: 0, Stage: 1, Level: 3, Scale: 1},
+		{ID: 2, Kind: ir.OpMulPlain, Args: []int{0}, Plain: w, PtScale: 2, Hoist: -1, Stage: 1, Level: 3, Scale: 2},
+		{ID: 3, Kind: ir.OpRecombine, Args: []int{0, 1, 2}, Weights: []int64{1, 1, 1}, Hoist: -1, Stage: 1,
+			ArgPlain: [][]float64{w, v, nil}, ArgPtScale: []float64{2, 2, 0}, Level: 3, Scale: 2},
+	}
+	g.Hoists = [][]int{{1}}
+	e := &fakeEngine{}
+	p, err := Prepare(e, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.termPts[3][0] != p.pts[2] {
+		t.Fatal("factor equal to a MulPlain operand was encoded twice")
+	}
+	if p.termPts[3][1] == nil || p.termPts[3][2] != nil {
+		t.Fatalf("factor handles %v, want [w v nil]", p.termPts[3])
+	}
+	x := []float64{1, 2, 3, 4}
+	res, err := p.Run(context.Background(), [][]float64{x}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rotated(x, 1)
+	got := e.DecryptVec(res.Out)
+	for i := range x {
+		if want := 2*x[i]*w[i] + r[i]*v[i]; got[i] != want {
+			t.Fatalf("slot %d: got %v want %v", i, got[i], want)
+		}
+	}
+	if got := e.ScaleOf(res.Out); got != 2 {
+		t.Fatalf("result scale %v, want 2", got)
+	}
+	wantCalls := []string{"EncodeVecsAt", "EncryptVec", "RotateMany", "MulPlainPt", "Recombine"}
+	if !reflect.DeepEqual(e.calls, wantCalls) {
+		t.Fatalf("engine calls %v, want %v", e.calls, wantCalls)
 	}
 }
 

@@ -496,53 +496,24 @@ type RNSPlan struct {
 	// the recompose reduction).
 	Opt *opt.Options
 
-	// prepared caches one lowered, optimized, pre-encoded graph per engine
+	// cache holds one lowered, optimized, pre-encoded graph per engine
 	// (the RNS graph differs from Base's: k inputs, replicated first
 	// stage).
-	mu         sync.Mutex
-	prepared   map[Engine]*exec.Prepared
-	optResults map[Engine]*opt.Result
+	cache prepCache
 }
 
-// prepare lowers the decomposed pipeline for e, once per engine.
+// prepare returns the decomposed pipeline prepared for e, building it on
+// first use per engine.
 func (p *RNSPlan) prepare(e Engine) (*exec.Prepared, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pr, ok := p.prepared[e]; ok {
-		telPrepare(true)
-		return pr, nil
-	}
-	telPrepare(false)
-	g, err := p.Lower(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeLowered(e, g, p.Opt)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := exec.Prepare(e, res.Graph)
-	if err != nil {
-		return nil, err
-	}
-	if p.prepared == nil {
-		p.prepared = map[Engine]*exec.Prepared{}
-		p.optResults = map[Engine]*opt.Result{}
-	}
-	p.prepared[e] = pr
-	p.optResults[e] = res
-	return pr, nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.pr, err
 }
 
 // OptResult returns the optimizer outcome for e, preparing the RNS plan
 // if needed.
 func (p *RNSPlan) OptResult(e Engine) (*opt.Result, error) {
-	if _, err := p.prepare(e); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.optResults[e], nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.res, err
 }
 
 // NewRNSPlan wraps a compiled plan with a k-part digit decomposition

@@ -41,7 +41,7 @@ type PlainSpec struct {
 
 // Engine abstracts the CKKS backends behind the operations compiled plans
 // and lowered graphs need. The first block mirrors the historical eager
-// interface (still used by the legacy Stage.Eval oracle); the final three
+// interface (still used by the legacy Stage.Eval oracle); the final four
 // methods are the ahead-of-time encoding contract the executor's hot path
 // uses instead of the lazy per-op cache.
 type Engine interface {
@@ -105,18 +105,17 @@ type Engine interface {
 	// AddPlainPt adds a pre-encoded plaintext at the ciphertext's exact
 	// level and scale.
 	AddPlainPt(ct Ct, pt Pt) Ct
-}
-
-// Recombiner is an optional Engine extension: a fused integer linear
-// combination Σᵢ Weights[i]·args[i] (Weights[0] = 1) evaluated in one
-// engine call instead of a MulInt/Add chain. Implementations must be
-// bit-identical to the chain acc = args[0]; acc = Add(acc,
-// MulInt(args[i], w)) with the MulInt elided for w = 1 — modular
-// addition is exact, so any implementation that accumulates the same
-// residues qualifies. The executor uses it for OpRecombine when the
-// engine provides it.
-type Recombiner interface {
-	Recombine(args []Ct, weights []int64) Ct
+	// Recombine evaluates Σⱼ weights[j]·(args[j] ⊙ pts[j]) (weights[0] =
+	// 1) as one engine call over one output buffer: the fused diagonal
+	// inner product of a linear layer and the Fig. 5 integer
+	// recomposition. pts may be nil, and a nil pts[j] makes term j the
+	// bare args[j]; every term must reach one (level, scale), and the
+	// result carries term 0's. Implementations must be bit-identical to
+	// the chain acc = term 0; acc = Add(acc, term j) with term j =
+	// MulInt(MulPlainPt(args[j], pts[j]), weights[j]) and the identity
+	// steps elided — modular arithmetic is exact, so any implementation
+	// that accumulates the same residues qualifies.
+	Recombine(args []Ct, pts []Pt, weights []int64) Ct
 }
 
 // Kind enumerates the op taxonomy of a lowered graph.
@@ -139,9 +138,11 @@ const (
 	OpRescale
 	// OpDropLevel discards Drop levels of Args[0].
 	OpDropLevel
-	// OpRecombine computes Σᵢ Weights[i]·Args[i] left-to-right with exact
-	// integer weights (Weights[0] must be 1): the Fig. 5 residue/digit
-	// recomposition.
+	// OpRecombine computes Σᵢ Weights[i]·Args[i] with exact integer
+	// weights (Weights[0] must be 1) — the Fig. 5 residue/digit
+	// recomposition and fused reduction trees — where an argument may
+	// carry a plaintext factor (ArgPlain), making its term Args[i] ⊙
+	// ArgPlain[i]: a whole diagonal inner product in one engine call.
 	OpRecombine
 )
 
@@ -196,6 +197,13 @@ type Op struct {
 	Drop int
 	// Weights are the per-arg integer weights (OpRecombine).
 	Weights []int64
+	// ArgPlain and ArgPtScale are OpRecombine's optional per-argument
+	// plaintext factors: term i is Args[i] ⊙ ArgPlain[i] encoded at
+	// (Level, ArgPtScale[i]) when ArgPlain[i] is non-nil, and the bare
+	// Args[i] otherwise (a plain add). Both are nil when no argument
+	// has a factor. A factor term always has weight 1.
+	ArgPlain   [][]float64
+	ArgPtScale []float64
 
 	// Stage indexes Graph.Stages.
 	Stage int
@@ -203,6 +211,15 @@ type Op struct {
 	// Level and Scale are the statically inferred result metadata.
 	Level int
 	Scale float64
+}
+
+// TermPlain returns OpRecombine argument i's plaintext factor and its
+// encode scale (nil, 0 for a bare term).
+func (op *Op) TermPlain(i int) ([]float64, float64) {
+	if op.ArgPlain == nil || op.ArgPlain[i] == nil {
+		return nil, 0
+	}
+	return op.ArgPlain[i], op.ArgPtScale[i]
 }
 
 // StageInfo names one pipeline stage of the graph, mirroring the legacy
@@ -310,6 +327,24 @@ func (g *Graph) Validate() error {
 			if op.Weights[0] != 1 {
 				return fmt.Errorf("ir: op %d recombine weight[0] = %d, want 1", i, op.Weights[0])
 			}
+			if op.ArgPlain == nil && op.ArgPtScale == nil {
+				break
+			}
+			if len(op.ArgPlain) != len(op.Args) || len(op.ArgPtScale) != len(op.Args) {
+				return fmt.Errorf("ir: op %d recombines %d args with %d plaintext factors and %d factor scales",
+					i, len(op.Args), len(op.ArgPlain), len(op.ArgPtScale))
+			}
+			for j := range op.Args {
+				if op.ArgPlain[j] == nil {
+					continue
+				}
+				if op.ArgPtScale[j] <= 0 || math.IsNaN(op.ArgPtScale[j]) || math.IsInf(op.ArgPtScale[j], 0) {
+					return fmt.Errorf("ir: op %d recombine factor %d at scale %v", i, j, op.ArgPtScale[j])
+				}
+				if op.Weights[j] != 1 {
+					return fmt.Errorf("ir: op %d recombine factor %d has weight %d, want 1", i, j, op.Weights[j])
+				}
+			}
 		}
 	}
 	for h, members := range g.Hoists {
@@ -345,12 +380,12 @@ type Stats struct {
 	Ops      int
 	ByKind   map[Kind]int
 	Hoists   int
-	Plains   int // plaintext operands to pre-encode
+	Plains   int // plaintext operands to pre-encode (Recombine factors included)
 	MinLevel int // lowest level any op result reaches
 	// EngineCalls counts the engine interface calls a full-featured
 	// backend pays per run: every op is one call, except that a hoist
-	// group executes as a single RotateMany and an OpRecombine as a
-	// single fused Recombine (see Recombiner).
+	// group executes as a single RotateMany and an OpRecombine — its
+	// plaintext factors included — as a single fused Engine.Recombine.
 	EngineCalls int
 }
 
@@ -362,6 +397,11 @@ func (g *Graph) Stats() Stats {
 		s.ByKind[op.Kind]++
 		if op.Plain != nil {
 			s.Plains++
+		}
+		for _, p := range op.ArgPlain {
+			if p != nil {
+				s.Plains++
+			}
 		}
 		if op.Level < s.MinLevel {
 			s.MinLevel = op.Level

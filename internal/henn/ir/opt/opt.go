@@ -17,8 +17,9 @@
 //	         recombines so the sum happens at high scale and one
 //	         rescale serves the whole reduction tree
 //	fuse     collapse single-use Add/Recombine reduction trees into one
-//	         OpRecombine the engine evaluates as a fused linear
-//	         combination (ir.Recombiner)
+//	         OpRecombine and absorb their single-use MulPlain leaves as
+//	         per-term plaintext factors, so a whole diagonal inner
+//	         product Σ rotⱼ(ct) ⊙ diagⱼ is one Engine.Recombine call
 //	dce      drop ops unreachable from the output and the recorded
 //	         stage outputs (encrypt ops are pinned: the PRNG call order
 //	         of the prologue is part of the bit-parity contract)
@@ -27,7 +28,9 @@
 // rescale are bit-exact: an optimized graph decrypts to bit-identical
 // logits (grouped and singleton hoisted rotations produce identical
 // ciphertexts — see TestRotateHoistedGroupingBitIdentical — and modular
-// addition is associative, so reassociating reduction trees is exact).
+// addition is associative, so reassociating reduction trees is exact,
+// and a MulPlain absorbed into a Recombine computes the same residues
+// whether each product is reduced before the sum or once after it).
 // Two rewrites trade bits for speed and are tolerance-gated instead:
 // rescale-sinking (rounding once after the sum instead of once per
 // addend) and plaintext chain folding (one encoding rounding instead of
@@ -410,15 +413,23 @@ func reinfer(par Params, g *ir.Graph) error {
 			}
 			op.Level, op.Scale = x.Level-op.Drop, x.Scale
 		case ir.OpRecombine:
-			x := a(0)
+			// A factor term's scale is its argument's times the factor's
+			// encode scale; every term must reach term 0's.
+			term := func(j int) float64 {
+				if v, s := op.TermPlain(j); v != nil {
+					return a(j).Scale * s
+				}
+				return a(j).Scale
+			}
+			x, s0 := a(0), term(0)
 			for j := 1; j < len(op.Args); j++ {
-				y := a(j)
-				if y.Level != x.Level || !scaleClose(y.Scale, x.Scale) {
-					return fmt.Errorf("opt: op %d recombine arg %d at (level %d, scale 2^%.2f), arg 0 at (level %d, scale 2^%.2f)",
-						i, j, y.Level, math.Log2(y.Scale), x.Level, math.Log2(x.Scale))
+				y, sj := a(j), term(j)
+				if y.Level != x.Level || !scaleClose(sj, s0) {
+					return fmt.Errorf("opt: op %d recombine term %d at (level %d, scale 2^%.2f), term 0 at (level %d, scale 2^%.2f)",
+						i, j, y.Level, math.Log2(sj), x.Level, math.Log2(s0))
 				}
 			}
-			op.Level, op.Scale = x.Level, x.Scale
+			op.Level, op.Scale = x.Level, s0
 		default:
 			return fmt.Errorf("opt: op %d has unknown kind %v", i, op.Kind)
 		}

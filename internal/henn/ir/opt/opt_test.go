@@ -425,14 +425,13 @@ func TestFoldChainMergeSkippedInExactMode(t *testing.T) {
 }
 
 func TestFuseReductionTree(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	s := math.Exp2(26)
+	// Rotation leaves: a pure reduction tree, no MulPlain to absorb.
 	g := mk(t, 7, nil,
 		enc(0),
-		mulp(0, v, s),
-		mulp(0, []float64{2, 2, 2, 2}, s),
-		mulp(0, []float64{3, 3, 3, 3}, s),
-		mulp(0, []float64{4, 4, 4, 4}, s),
+		rot(0, 1, -1),
+		rot(0, 2, -1),
+		rot(0, 3, -1),
+		rot(0, 4, -1),
 		add(1, 2),
 		add(5, 3),
 		add(6, 4),
@@ -482,10 +481,8 @@ func TestFuseAccumulatesNestedWeights(t *testing.T) {
 }
 
 func TestFuseLeavesSmallAndSharedTreesAlone(t *testing.T) {
-	v := []float64{1, 1, 1, 1}
-	s := math.Exp2(26)
-	// Two leaves only: below the fusion threshold.
-	g := mk(t, 3, nil, enc(0), mulp(0, v, s), mulp(0, []float64{2, 2, 2, 2}, s), add(1, 2))
+	// Two bare leaves only: below the fusion threshold.
+	g := mk(t, 3, nil, enc(0), rot(0, 1, -1), rot(0, 2, -1), add(1, 2))
 	out := run(t, passFuse, g, true)
 	if got := out.Stats().ByKind[ir.OpAdd]; got != 1 {
 		t.Fatalf("2-leaf add fused: %s", out.Stats())
@@ -493,9 +490,9 @@ func TestFuseLeavesSmallAndSharedTreesAlone(t *testing.T) {
 	// Interior node that is also a stage output: must stay materialized.
 	g2 := mk(t, 6, nil,
 		enc(0),
-		mulp(0, v, s),
-		mulp(0, []float64{2, 2, 2, 2}, s),
-		mulp(0, []float64{3, 3, 3, 3}, s),
+		rot(0, 1, -1),
+		rot(0, 2, -1),
+		rot(0, 3, -1),
 		add(1, 2),
 		add(4, 3),
 		rot(5, 1, -1),
@@ -510,6 +507,205 @@ func TestFuseLeavesSmallAndSharedTreesAlone(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("stage-output add was absorbed: %s", out2.Stats())
+	}
+}
+
+// TestFuseAbsorbsMulPlainLeaves: a diagonal inner product — MulPlain
+// leaves over rotations plus a bias-free bare leaf — becomes one
+// Recombine whose terms are the rotations with the diagonals as
+// factors; the MulPlain ops disappear and the inferred (level, scale)
+// is unchanged.
+func TestFuseAbsorbsMulPlainLeaves(t *testing.T) {
+	s := math.Exp2(26)
+	d := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 1, 2, 3}}
+	g := mk(t, 9, [][]int{{1}, {2}},
+		enc(0),
+		rot(0, 1, 0),
+		rot(0, 2, 1),
+		mulp(0, d[0], s),
+		mulp(1, d[1], s),
+		mulp(2, d[2], s),
+		add(3, 4),
+		add(6, 5),
+		mulp(0, d[0], s), // shared below: not absorbable
+		add(7, 8),
+	)
+	// Make op 8 shared by pointing a second stage row at it.
+	g.Stages = append(g.Stages, ir.StageInfo{Name: "mid", Out: 8, Record: true})
+	out := run(t, passFuse, g, true)
+	st := out.Stats()
+	if st.ByKind[ir.OpMulPlain] != 1 || st.ByKind[ir.OpAdd] != 0 || st.ByKind[ir.OpRecombine] != 1 {
+		t.Fatalf("inner product not fused: %s", st)
+	}
+	rc := out.Ops[out.Output]
+	if len(rc.Args) != 4 || len(rc.ArgPlain) != 4 {
+		t.Fatalf("fused recombine %+v, want 4 terms with factors", rc)
+	}
+	factors := 0
+	for j := range rc.Args {
+		v, ps := rc.TermPlain(j)
+		if v == nil {
+			if out.Ops[rc.Args[j]].Kind != ir.OpMulPlain {
+				t.Fatalf("bare term %d is %s, want the stage-output MulPlain", j, out.Ops[rc.Args[j]].Kind)
+			}
+			continue
+		}
+		factors++
+		if ps != s || rc.Weights[j] != 1 {
+			t.Fatalf("factor term %d: scale %v weight %d", j, ps, rc.Weights[j])
+		}
+		if k := out.Ops[rc.Args[j]].Kind; k != ir.OpRotate && k != ir.OpEncrypt {
+			t.Fatalf("factor term %d applies to a %s, want the MulPlain's operand", j, k)
+		}
+	}
+	if factors != 3 {
+		t.Fatalf("%d factor terms, want 3", factors)
+	}
+	if want := g.Ops[g.Output]; rc.Level != want.Level || rc.Scale != want.Scale {
+		t.Fatalf("fused (level %d, scale %v), unfused (level %d, scale %v)", rc.Level, rc.Scale, want.Level, want.Scale)
+	}
+	if got, want := st.Plains, g.Stats().Plains; got != want {
+		t.Fatalf("plaintext count %d after fusion, want %d (factors still need encoding)", got, want)
+	}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFuseMulPlainAbsorptionGuards: a MulPlain is absorbed only with a
+// single use, weight 1 and no stage row pointing at it. Two absorbable
+// leaves are enough to fuse a 2-leaf add.
+func TestFuseMulPlainAbsorptionGuards(t *testing.T) {
+	s := math.Exp2(26)
+	v := []float64{1, 2, 3, 4}
+	w := []float64{4, 3, 2, 1}
+	t.Run("two-leaf", func(t *testing.T) {
+		g := mk(t, 3, nil, enc(0), mulp(0, v, s), mulp(0, w, s), add(1, 2))
+		out := run(t, passFuse, g, true)
+		if st := out.Stats(); st.Ops != 2 || st.ByKind[ir.OpRecombine] != 1 {
+			t.Fatalf("2-leaf MulPlain add not fused: %s", st)
+		}
+	})
+	t.Run("shared", func(t *testing.T) {
+		g := mk(t, 4, nil, enc(0), mulp(0, v, s), mulp(0, w, s), add(1, 2), add(3, 1))
+		out := run(t, passFuse, g, true)
+		if got := out.Stats().ByKind[ir.OpMulPlain]; got != 1 {
+			t.Fatalf("shared MulPlain absorbed or single-use one kept: %d MulPlains left", got)
+		}
+	})
+	t.Run("stage-output", func(t *testing.T) {
+		g := mk(t, 3, nil, enc(0), mulp(0, v, s), mulp(0, w, s), add(1, 2))
+		g.Stages = append(g.Stages, ir.StageInfo{Name: "mid", Out: 1, Record: true})
+		out := run(t, passFuse, g, true)
+		if got := out.Stats().ByKind[ir.OpMulPlain]; got != 1 {
+			t.Fatalf("stage-output MulPlain absorbed: %d MulPlains left", got)
+		}
+		if out.Ops[out.Stages[1].Out].Kind != ir.OpMulPlain {
+			t.Fatal("stage row no longer points at its MulPlain")
+		}
+	})
+	t.Run("weighted", func(t *testing.T) {
+		g := mk(t, 4, nil, enc(0), mulp(0, v, s), mulp(0, w, s), recomb([]int{1, 2}, []int64{1, 3}), mulp(0, v, s))
+		g.Output = 3
+		g.Stages[0].Out = 3
+		out := run(t, passFuse, g, true)
+		rc := out.Ops[out.Output]
+		if v1, _ := rc.TermPlain(1); v1 != nil || out.Ops[rc.Args[1]].Kind != ir.OpMulPlain {
+			t.Fatalf("weight-3 MulPlain absorbed: %+v", rc)
+		}
+		if v0, _ := rc.TermPlain(0); v0 == nil {
+			t.Fatalf("weight-1 MulPlain not absorbed: %+v", rc)
+		}
+	})
+}
+
+// TestFuseIsIdempotentOverFactors: fusing an already-fused graph keeps
+// every factor term, and a factor-carrying recombine is never expanded
+// into an enclosing weighted tree.
+func TestFuseIsIdempotentOverFactors(t *testing.T) {
+	s := math.Exp2(26)
+	g := mk(t, 6, nil,
+		enc(0),
+		mulp(0, []float64{1, 2, 3, 4}, s),
+		mulp(0, []float64{5, 6, 7, 8}, s),
+		add(1, 2),
+		mulp(0, []float64{9, 9, 9, 9}, s),
+		mulp(0, []float64{2, 2, 2, 2}, s),
+		recomb([]int{3, 4, 5}, []int64{1, 2, 1}),
+	)
+	once := run(t, passFuse, g, true)
+	twice := run(t, passFuse, once, true)
+	for _, out := range []*ir.Graph{once, twice} {
+		if got := out.Stats().ByKind[ir.OpMulPlain]; got != 1 {
+			t.Fatalf("%d MulPlains, want only the weight-2 one kept: %s", got, out.Stats())
+		}
+		rc := out.Ops[out.Output]
+		if rc.Level != g.Ops[g.Output].Level || rc.Scale != g.Ops[g.Output].Scale {
+			t.Fatalf("output metadata changed: %+v", rc)
+		}
+	}
+	if a, b := once.Stats(), twice.Stats(); a.Ops != b.Ops || a.Plains != b.Plains {
+		t.Fatalf("second fuse changed the graph: %s → %s", a, b)
+	}
+}
+
+// TestCSEDistinguishesFactors: two recombines over the same arguments
+// merge only when their plaintext factors are bit-identical.
+func TestCSEDistinguishesFactors(t *testing.T) {
+	s := math.Exp2(26)
+	fused := func(v []float64) ir.Op {
+		op := recomb([]int{0, 0}, []int64{1, 1})
+		op.ArgPlain = [][]float64{v, {1, 1, 1, 1}}
+		op.ArgPtScale = []float64{s, s}
+		return op
+	}
+	g := mk(t, 3, nil, enc(0), fused([]float64{1, 2, 3, 4}), fused([]float64{1, 2, 3, 5}), add(1, 2))
+	if got := run(t, passCSE, g, true).Stats().ByKind[ir.OpRecombine]; got != 2 {
+		t.Fatalf("recombines with different factors merged: %d left", got)
+	}
+	g2 := mk(t, 3, nil, enc(0), fused([]float64{1, 2, 3, 4}), fused([]float64{1, 2, 3, 4}), add(1, 2))
+	if got := run(t, passCSE, g2, true).Stats().ByKind[ir.OpRecombine]; got != 1 {
+		t.Fatalf("identical fused recombines not merged: %d left", got)
+	}
+}
+
+// TestRescaleSinkSkipsFactorRecombines: a factor's encoding is tied to
+// the recombine's level and scale, so rescales are not sunk past one.
+func TestRescaleSinkSkipsFactorRecombines(t *testing.T) {
+	s := math.Exp2(26)
+	op := recomb([]int{1, 2}, []int64{1, 1})
+	op.ArgPlain = [][]float64{{1, 2, 3, 4}, {4, 3, 2, 1}}
+	op.ArgPtScale = []float64{s, s}
+	g := mk(t, 3, nil, enc(0), resc(0), resc(0), op)
+	out := run(t, passRescale, g, false)
+	if got := out.Stats().ByKind[ir.OpRescale]; got != 2 {
+		t.Fatalf("rescale sunk past a factor recombine: %s", out.Stats())
+	}
+}
+
+// TestValidateRejectsBadFactors pins the IR contract for factors.
+func TestValidateRejectsBadFactors(t *testing.T) {
+	s := math.Exp2(26)
+	base := func() *ir.Graph {
+		op := recomb([]int{0, 1}, []int64{1, 1})
+		op.ArgPlain = [][]float64{{1, 2, 3, 4}, nil}
+		op.ArgPtScale = []float64{s, 0}
+		return mk(t, 2, nil, enc(0), mulp(0, []float64{1, 1, 1, 1}, s), op)
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("valid factor recombine rejected: %v", err)
+	}
+	for name, mut := range map[string]func(op *ir.Op){
+		"short factors":  func(op *ir.Op) { op.ArgPlain = op.ArgPlain[:1] },
+		"zero scale":     func(op *ir.Op) { op.ArgPtScale[0] = 0 },
+		"weighted":       func(op *ir.Op) { op.ArgPlain[1] = []float64{1}; op.ArgPtScale[1] = s; op.Weights[1] = 2 },
+		"missing scales": func(op *ir.Op) { op.ArgPtScale = nil },
+	} {
+		g := base()
+		mut(&g.Ops[2])
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, g.Ops[2])
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func passCSE(g *ir.Graph, par Params, exact bool) (*ir.Graph, error) {
 		key := cseKey(b, op)
 		merged := false
 		for _, cand := range seen[key] {
-			if plainEqual(b.ops[cand].Plain, op.Plain) {
+			if plainEqual(b.ops[cand].Plain, op.Plain) && factorsEqual(b.ops[cand].ArgPlain, op.ArgPlain) {
 				b.alias(i, cand)
 				merged = true
 				break
@@ -61,6 +61,11 @@ func cseKey(b *builder, op ir.Op) string {
 	if op.Plain != nil {
 		fmt.Fprintf(&sb, " p=%d/%x", len(op.Plain), plainHash(op.Plain))
 	}
+	for j, f := range op.ArgPlain {
+		if f != nil {
+			fmt.Fprintf(&sb, " f%d=%d/%x@%x", j, len(f), plainHash(f), math.Float64bits(op.ArgPtScale[j]))
+		}
+	}
 	return sb.String()
 }
 
@@ -75,6 +80,20 @@ func plainHash(v []float64) uint64 {
 		h.Write(buf[:])
 	}
 	return h.Sum64()
+}
+
+// factorsEqual is plainEqual over Recombine factor lists (the scales are
+// already in the key).
+func factorsEqual(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if (a[j] == nil) != (b[j] == nil) || !plainEqual(a[j], b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // plainEqual guards hash-bucket collisions with a full bit compare.
@@ -259,6 +278,9 @@ func rescaleOnce(g *ir.Graph, par Params, exact bool) (*ir.Graph, bool, error) {
 		if op.Kind != ir.OpAdd && op.Kind != ir.OpRecombine {
 			continue
 		}
+		if op.ArgPlain != nil {
+			continue // factors are encoded at the sum's level and scale
+		}
 		kind, drop := ir.Kind(-1), 0
 		lvl, scale := 0, 0.0
 		ok := true
@@ -335,11 +357,19 @@ func rescaleOnce(g *ir.Graph, par Params, exact bool) (*ir.Graph, bool, error) {
 // tree of single-use, non-stage-output Add/Recombine ops becomes one
 // OpRecombine over the tree's leaves with the accumulated integer
 // weights, which the executor hands to the engine as a single
-// ir.Recombiner call. Bit-exact: ciphertext addition is componentwise
-// modular addition (associative) and MulInt distributes over it
-// exactly, so any re-association computes identical residues. Roots
-// with fewer than 3 leaves, a non-1 leading weight, or weight overflow
-// are left alone.
+// Engine.Recombine call. A leaf that is a MulPlain is absorbed as well,
+// when it has a single use, weight 1 and is not a recorded stage output:
+// its operand becomes the term and its plaintext the term's factor, so
+// a diagonal inner product Σ rotⱼ(ct) ⊙ diagⱼ runs as one lazily reduced
+// multiply-accumulate instead of one MulPlain per diagonal plus an add
+// tree. Bit-exact: ciphertext addition is componentwise modular
+// addition (associative), MulInt distributes over it exactly, and a
+// product reduced before the sum or once after it is the same residue,
+// so any re-association computes identical residues. The stage-output
+// exclusion matters: an absorbed op gets no remap entry, so a stage row
+// pointing at one would dangle. Roots are left alone when they would
+// recombine fewer than 3 leaves without absorbing a MulPlain, have a
+// non-1 leading weight, or overflow a weight.
 func passFuse(g *ir.Graph, par Params, exact bool) (*ir.Graph, error) {
 	use := useCounts(g)
 	outs := stageOutSet(g)
@@ -348,27 +378,38 @@ func passFuse(g *ir.Graph, par Params, exact bool) (*ir.Graph, error) {
 		return k == ir.OpAdd || k == ir.OpRecombine
 	}
 	// expandable: folded into the enclosing tree when reached from a
-	// sum parent (its unique consumer, by use==1).
-	expandable := func(i int) bool { return isSum(i) && use[i] == 1 && !outs[i] }
+	// sum parent (its unique consumer, by use==1). A recombine already
+	// carrying factors stays a leaf: an enclosing weight would land on
+	// its factor terms, which must keep weight 1.
+	expandable := func(i int) bool {
+		return isSum(i) && use[i] == 1 && !outs[i] && g.Ops[i].ArgPlain == nil
+	}
+	absorbable := func(i int) bool {
+		return g.Ops[i].Kind == ir.OpMulPlain && use[i] == 1 && !outs[i]
+	}
 
-	// Roots are sums that no parent will absorb.
+	// Roots are sums that no parent will absorb. A parent expands only
+	// its bare (factor-free) arguments.
 	consumer := make([]int, len(g.Ops))
 	for i := range consumer {
 		consumer[i] = -1
 	}
 	for i := range g.Ops {
-		for _, a := range g.Ops[i].Args {
-			if use[a] == 1 {
+		op := &g.Ops[i]
+		for j, a := range op.Args {
+			if v, _ := op.TermPlain(j); use[a] == 1 && v == nil {
 				consumer[a] = i
 			}
 		}
 	}
-	type plan struct {
-		leaves  []int
-		weights []int64
+	type term struct {
+		leaf    int
+		weight  int64
+		plain   []float64
+		ptScale float64
 	}
-	plans := map[int]plan{}
-	absorbed := map[int]bool{}
+	plans := map[int][]term{}
+	absorbed := map[int]bool{} // interior sums and absorbed MulPlains
 	for i := range g.Ops {
 		if !isSum(i) {
 			continue
@@ -376,36 +417,50 @@ func passFuse(g *ir.Graph, par Params, exact bool) (*ir.Graph, error) {
 		if expandable(i) && consumer[i] >= 0 && isSum(consumer[i]) {
 			continue // interior node of some root's tree
 		}
-		var pl plan
-		interior := []int{}
+		var terms []term
+		var interior, muls []int
 		ok := true
 		var collect func(n int, w int64)
-		collect = func(n int, w int64) {
-			if !ok {
-				return
-			}
-			if n != i && expandable(n) {
-				interior = append(interior, n)
-			} else if n != i {
-				pl.leaves = append(pl.leaves, n)
-				pl.weights = append(pl.weights, w)
-				return
-			}
+		// walk visits sum op n's arguments under the enclosing weight w.
+		// Factor terms (only a root can carry them) are taken over as
+		// they are; bare arguments are collected.
+		walk := func(n int, w int64) {
 			op := &g.Ops[n]
 			for j, a := range op.Args {
 				wj := w
 				if op.Kind == ir.OpRecombine {
 					wj = mulInt64(w, op.Weights[j], &ok)
 				}
+				if v, s := op.TermPlain(j); v != nil {
+					terms = append(terms, term{leaf: a, weight: wj, plain: v, ptScale: s})
+					continue
+				}
 				collect(a, wj)
 			}
 		}
-		collect(i, 1)
-		if !ok || len(pl.leaves) < 3 || pl.weights[0] != 1 {
+		collect = func(n int, w int64) {
+			switch {
+			case !ok:
+			case expandable(n):
+				interior = append(interior, n)
+				walk(n, w)
+			case w == 1 && absorbable(n):
+				mp := &g.Ops[n]
+				muls = append(muls, n)
+				terms = append(terms, term{leaf: mp.Args[0], weight: 1, plain: mp.Plain, ptScale: mp.PtScale})
+			default:
+				terms = append(terms, term{leaf: n, weight: w})
+			}
+		}
+		walk(i, 1)
+		if !ok || terms[0].weight != 1 || (len(terms) < 3 && len(muls) == 0) {
 			continue
 		}
-		plans[i] = pl
+		plans[i] = terms
 		for _, n := range interior {
+			absorbed[n] = true
+		}
+		for _, n := range muls {
 			absorbed[n] = true
 		}
 	}
@@ -417,15 +472,21 @@ func passFuse(g *ir.Graph, par Params, exact bool) (*ir.Graph, error) {
 		if absorbed[i] {
 			continue
 		}
-		if pl, fused := plans[i]; fused {
-			args := make([]int, len(pl.leaves))
-			for j, l := range pl.leaves {
-				args[j] = b.arg(l)
+		if terms, fused := plans[i]; fused {
+			op := ir.Op{Kind: ir.OpRecombine, Stage: g.Ops[i].Stage,
+				Args: make([]int, len(terms)), Weights: make([]int64, len(terms))}
+			for j, t := range terms {
+				op.Args[j] = b.arg(t.leaf)
+				op.Weights[j] = t.weight
+				if t.plain != nil {
+					if op.ArgPlain == nil {
+						op.ArgPlain = make([][]float64, len(terms))
+						op.ArgPtScale = make([]float64, len(terms))
+					}
+					op.ArgPlain[j], op.ArgPtScale[j] = t.plain, t.ptScale
+				}
 			}
-			b.alias(i, b.emit(ir.Op{
-				Kind: ir.OpRecombine, Args: args, Weights: pl.weights,
-				Stage: g.Ops[i].Stage,
-			}))
+			b.alias(i, b.emit(op))
 			continue
 		}
 		b.carry(i)

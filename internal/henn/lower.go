@@ -201,14 +201,19 @@ func (t *tracer) MulInt(ct Ct, n int64) Ct {
 	panic(fmt.Errorf("henn: lower: MulInt called inside a stage (recombination lowers to OpRecombine)"))
 }
 
-// Recombine implements ir.Recombiner symbolically, so sharded stages can
-// fuse their cross-shard block sums into one OpRecombine exactly like
-// the real engines do at runtime (the executor dispatches the op back to
-// the engine's fused Recombine, or to the bit-identical MulInt/Add chain
-// with weight-1 multiplies elided).
-func (t *tracer) Recombine(args []Ct, weights []int64) Ct {
+// Recombine implements Engine symbolically, so sharded stages can fuse
+// their cross-shard block sums into one OpRecombine exactly like the
+// real engines do at runtime (the executor dispatches the op back to the
+// engine's fused Recombine). Stages recombine bare ciphertexts only:
+// plaintext factors are the fuse pass's to attach.
+func (t *tracer) Recombine(args []Ct, pts []Pt, weights []int64) Ct {
 	if len(args) == 0 || len(weights) != len(args) {
 		panic(fmt.Errorf("henn: lower: Recombine with %d args, %d weights", len(args), len(weights)))
+	}
+	for _, p := range pts {
+		if p != nil {
+			panic(fmt.Errorf("henn: lower: Recombine with a plaintext factor inside a stage (stages use the vector forms)"))
+		}
 	}
 	if weights[0] != 1 {
 		panic(fmt.Errorf("henn: lower: Recombine weight[0] = %d, want 1", weights[0]))
@@ -317,10 +322,7 @@ func (t *tracer) AddPlainPt(ct Ct, pt Pt) Ct {
 	panic(fmt.Errorf("henn: lower: AddPlainPt called inside a stage (stages use the vector forms)"))
 }
 
-var (
-	_ Engine        = (*tracer)(nil)
-	_ ir.Recombiner = (*tracer)(nil)
-)
+var _ Engine = (*tracer)(nil)
 
 // recoverLowerErr converts a trace panic into a lowering error. Error
 // values panic through unwrapped; other panics are formatted.

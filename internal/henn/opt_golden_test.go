@@ -59,6 +59,9 @@ func sizeOf(s ir.Stats) goldenSize {
 }
 
 func TestOptimizedGraphGolden(t *testing.T) {
+	// The fuse pass absorbs every single-use MulPlain leaf of a diagonal
+	// inner product into its Recombine, so a linear layer's thousands of
+	// MulPlain/Add calls collapse to one Recombine per giant step.
 	cases := []struct {
 		name  string
 		arch  string
@@ -67,14 +70,14 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		k     int // 0 = plain Plan, >0 = RNSPlan with k parts, -1 = sharded (auto grid)
 		want  goldenSize
 	}{
-		{"cnn1/plan", "cnn1", 1024, 11, 0, goldenSize{ops: 2331, engineCalls: 2241, rotateCalls: 68, hoists: 3}},
-		{"cnn1/rns3", "cnn1", 1024, 11, 3, goldenSize{ops: 4567, engineCalls: 4417, rotateCalls: 132, hoists: 5}},
-		{"cnn2/plan", "cnn2", 2048, 12, 0, goldenSize{ops: 4700, engineCalls: 4475, rotateCalls: 71, hoists: 4}},
-		{"cnn2/rns3", "cnn2", 2048, 12, 3, goldenSize{ops: 8514, engineCalls: 8165, rotateCalls: 129, hoists: 6}},
+		{"cnn1/plan", "cnn1", 1024, 11, 0, goldenSize{ops: 254, engineCalls: 164, rotateCalls: 68, hoists: 3}},
+		{"cnn1/rns3", "cnn1", 1024, 11, 3, goldenSize{ops: 506, engineCalls: 356, rotateCalls: 132, hoists: 5}},
+		{"cnn2/plan", "cnn2", 2048, 12, 0, goldenSize{ops: 408, engineCalls: 183, rotateCalls: 71, hoists: 4}},
+		{"cnn2/rns3", "cnn2", 2048, 12, 3, goldenSize{ops: 776, engineCalls: 427, rotateCalls: 129, hoists: 6}},
 		// CIFAR-10 CNN3 over a 2×1 shard grid: the 3072-pixel input splits
 		// across two 2048-slot ciphertexts, so the lowered graph carries
 		// per-shard block products plus cross-shard recombines.
-		{"cnn3/sharded2", "cnn3", 2048, 12, -1, goldenSize{ops: 7022, engineCalls: 6774, rotateCalls: 105, hoists: 4}},
+		{"cnn3/sharded2", "cnn3", 2048, 12, -1, goldenSize{ops: 496, engineCalls: 248, rotateCalls: 105, hoists: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cnnhe/internal/henn/exec"
@@ -31,7 +30,7 @@ import (
 // blocks are skipped outright. Each output shard sums its block
 // accumulators at the shared pre-rescale scale with one fused
 // ir.OpRecombine (all weights 1, bit-identical to an Add chain by the
-// Recombiner contract) and then pays a single rescale, so a one-block
+// Engine.Recombine contract) and then pays a single rescale, so a one-block
 // row lowers to exactly the unsharded op sequence. Activations apply
 // per-shard with coefficient vectors sliced through the manifest's
 // slot→global bijection.
@@ -124,26 +123,18 @@ func newShardedLinear(label string, mat *tensor.Tensor, bias []float64, in, out 
 }
 
 // recombineAll sums block accumulators with the engine's fused
-// Recombine (all weights 1) when available, falling back to the
-// bit-identical Add chain. A single accumulator passes through
+// Recombine (all weights 1). A single accumulator passes through
 // untouched, which is what keeps one-block rows — and therefore whole
 // 1×1-grid plans — identical to the unsharded lowering.
 func recombineAll(e Engine, cts []Ct) Ct {
 	if len(cts) == 1 {
 		return cts[0]
 	}
-	if rc, ok := e.(ir.Recombiner); ok {
-		w := make([]int64, len(cts))
-		for i := range w {
-			w[i] = 1
-		}
-		return rc.Recombine(cts, w)
+	w := make([]int64, len(cts))
+	for i := range w {
+		w[i] = 1
 	}
-	acc := cts[0]
-	for _, ct := range cts[1:] {
-		acc = e.Add(acc, ct)
-	}
-	return acc
+	return e.Recombine(cts, nil, w)
 }
 
 // EvalShards implements ShardStage: per output shard, evaluate every
@@ -326,9 +317,7 @@ type ShardedPlan struct {
 	// products — on the executor's bounded worker pool.
 	Parallel bool
 
-	mu         sync.Mutex
-	prepared   map[Engine]*exec.Prepared
-	optResults map[Engine]*opt.Result
+	cache prepCache
 }
 
 // CompileSharded lowers a trained SLAF model to a sharded plan: the
@@ -493,46 +482,24 @@ func (p *ShardedPlan) Lower(e Engine) (g *ir.Graph, err error) {
 	return t.g, nil
 }
 
-// prepare lowers the sharded plan for e (once per engine), optimizes the
-// graph, and pre-encodes every plaintext operand.
+// prepare returns the sharded plan prepared for e, building it on first
+// use per engine.
 func (p *ShardedPlan) prepare(e Engine) (*exec.Prepared, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pr, ok := p.prepared[e]; ok {
-		telPrepare(true)
-		return pr, nil
-	}
-	telPrepare(false)
-	g, err := p.Lower(e)
-	if err != nil {
-		return nil, err
-	}
-	res, err := optimizeLowered(e, g, p.Opt)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := exec.Prepare(e, res.Graph)
-	if err != nil {
-		return nil, err
-	}
-	if p.prepared == nil {
-		p.prepared = map[Engine]*exec.Prepared{}
-		p.optResults = map[Engine]*opt.Result{}
-	}
-	p.prepared[e] = pr
-	p.optResults[e] = res
-	return pr, nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.pr, err
 }
 
 // OptResult returns the optimizer outcome for e, preparing the plan if
 // needed.
 func (p *ShardedPlan) OptResult(e Engine) (*opt.Result, error) {
-	if _, err := p.prepare(e); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.optResults[e], nil
+	en, err := p.cache.get(e, p.Lower, p.Opt)
+	return en.res, err
+}
+
+// Optimize lowers the sharded plan for e's parameters and runs the
+// configured optimizer (p.Opt), like Plan.Optimize.
+func (p *ShardedPlan) Optimize(e Engine) (*opt.Result, error) {
+	return lowerOptimized(e, p.Lower, p.Opt)
 }
 
 // Warm mirrors Plan.Warm for the sharded pipeline.

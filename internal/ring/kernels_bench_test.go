@@ -117,6 +117,48 @@ func BenchmarkKernelMulCoeffsThenAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMulCoeffsSum is the plaintext inner product of one
+// BSGS giant step (31 terms, the CNN1 shape) as one lazily reduced
+// kernel call; the Chain sub-benchmarks run the same sum as the
+// MulCoeffs + Add sequence (one fresh output polynomial per term, like
+// the unfused MulPlain/Add graph) it replaces.
+func BenchmarkKernelMulCoeffsSum(b *testing.B) {
+	const terms = 31
+	for _, tc := range kernelCases() {
+		r := benchRing(b, 12, tc.limbs, tc.parallel)
+		as := make([]*Poly, terms)
+		bs := make([]*Poly, terms)
+		for j := range as {
+			as[j] = benchPoly(r, int64(2*j+1))
+			bs[j] = benchPoly(r, int64(2*j+2))
+		}
+		limbs := r.Limbs(r.MaxLevel(), false)
+		b.Run(fmt.Sprintf("limbs=%d/parallel=%v/fused", tc.limbs, tc.parallel), func(b *testing.B) {
+			out := r.NewPolyQ(r.MaxLevel())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.MulCoeffsSum(limbs, as, bs, out)
+			}
+		})
+		b.Run(fmt.Sprintf("limbs=%d/parallel=%v/chain", tc.limbs, tc.parallel), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc := r.NewPolyQ(r.MaxLevel())
+				r.MulCoeffs(limbs, as[0], bs[0], acc)
+				for j := 1; j < terms; j++ {
+					t := r.NewPolyQ(r.MaxLevel())
+					r.MulCoeffs(limbs, as[j], bs[j], t)
+					sum := r.NewPolyQ(r.MaxLevel())
+					r.Add(limbs, acc, t, sum)
+					acc = sum
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKernelRescale measures the pooled-scratch exact division that
 // backs Rescale and ModDown.
 func BenchmarkKernelRescale(b *testing.B) {

@@ -100,7 +100,8 @@ func hammerRing(t *testing.T) *Ring {
 }
 
 // opMix runs a representative op sequence (the same mix a CNN1 forward
-// pass issues: NTT-domain muls, adds, automorphisms, a rescale division)
+// pass issues: NTT-domain muls, a plaintext inner product, adds, a
+// rescale division)
 // and leaves the result in out.
 func opMix(r *Ring, seed int64, out *Poly) {
 	rng := rand.New(rand.NewSource(seed))
@@ -116,6 +117,9 @@ func opMix(r *Ring, seed int64, out *Poly) {
 	r.NTT(limbs, b)
 	r.MulCoeffs(limbs, a, b, tmp)
 	r.MulCoeffsThenAdd(limbs, a, a, tmp)
+	sum := r.NewPoly(r.MaxLevel())
+	r.MulCoeffsSum(limbs, []*Poly{a, b, tmp, a}, []*Poly{b, nil, a, a}, sum)
+	r.Add(limbs, tmp, sum, tmp)
 	r.Add(limbs, tmp, b, tmp)
 	r.Sub(limbs, tmp, a, tmp)
 	r.INTT(limbs, tmp)

@@ -284,6 +284,33 @@ func (r *Ring) MulCoeffsThenAdd(limbs []int, a, b, out *Poly) {
 	})
 }
 
+// MulCoeffsSum sets out = Σⱼ as[j] ⊙ bs[j] on the given limbs (NTT
+// domain) in one pass: the plaintext inner product Σ rotⱼ(ct) ⊙ diagⱼ
+// of a diagonal matrix–vector product. A nil bs, or a nil bs[j], adds
+// as[j] unmultiplied. Word limbs accumulate lazily in 128 bits and
+// reduce once per coefficient (wordRing.MulCoeffsSum); the result is the
+// same residue the MulCoeffs/Add chain computes. out must not alias an
+// input.
+func (r *Ring) MulCoeffsSum(limbs []int, as, bs []*Poly, out *Poly) {
+	nt := len(as)
+	// One table of limb views for the whole call, indexed by limb: the
+	// per-slab tasks then slice nothing and allocate nothing.
+	views := make([][]uint64, 2*nt*len(r.SubRings))
+	for _, i := range limbs {
+		va, vb := views[2*nt*i:2*nt*i+nt], views[2*nt*i+nt:2*nt*(i+1)]
+		for j := range as {
+			va[j] = as[j].Coeffs[i]
+			if bs != nil && bs[j] != nil {
+				vb[j] = bs[j].Coeffs[i]
+			}
+		}
+	}
+	r.forLimbSlabs(limbs, func(i, c0, c1 int) {
+		base := 2 * nt * i
+		r.SubRings[i].MulCoeffsSum(views[base:base+nt], views[base+nt:base+2*nt], c0, c1, out.Coeffs[i])
+	})
+}
+
 // MulScalar sets out = a · s on the given limbs.
 func (r *Ring) MulScalar(limbs []int, a *Poly, s *big.Int, out *Poly) {
 	r.forLimbSlabs(limbs, func(i, c0, c1 int) {

@@ -46,6 +46,11 @@ type SubRing interface {
 	MulCoeffs(a, b, out []uint64)
 	// MulCoeffsThenAdd sets out += a ⊙ b element-wise.
 	MulCoeffsThenAdd(a, b, out []uint64)
+	// MulCoeffsSum sets out = Σⱼ as[j] ⊙ bs[j] element-wise over the
+	// coefficient range [lo, hi) — the plaintext inner product. A nil
+	// bs (or a nil bs[j]) adds as[j] unmultiplied. as[j], bs[j] and out
+	// are whole limb vectors; out must not alias an input.
+	MulCoeffsSum(as, bs [][]uint64, lo, hi int, out []uint64)
 	// MulScalar sets out = a · s for a scalar s given as a big.Int in [0, q).
 	MulScalar(a []uint64, s *big.Int, out []uint64)
 	// SubScalarThenMulScalar sets out = (a - c) · s for scalars c, s in [0,q).

@@ -154,6 +154,34 @@ func (r *wideRing) MulCoeffsThenAdd(a, b, out []uint64) {
 	}
 }
 
+// MulCoeffsSum is the wide backend's inner product: a plain
+// MulCoeffs/MulCoeffsThenAdd chain over the range (the ablation chains
+// this backend serves are not on the serving hot path).
+func (r *wideRing) MulCoeffsSum(as, bs [][]uint64, lo, hi int, out []uint64) {
+	o := out[2*lo : 2*hi]
+	if len(as) == 0 {
+		clear(o)
+		return
+	}
+	for j, a := range as {
+		a = a[2*lo : 2*hi]
+		var b []uint64
+		if bs != nil && bs[j] != nil {
+			b = bs[j][2*lo : 2*hi]
+		}
+		switch {
+		case j == 0 && b != nil:
+			r.MulCoeffs(a, b, o)
+		case j == 0:
+			copy(o, a)
+		case b != nil:
+			r.MulCoeffsThenAdd(a, b, o)
+		default:
+			r.Add(o, a, o)
+		}
+	}
+}
+
 // scalarWide reduces s into [0, q) without allocating when s is already a
 // non-negative ≤128-bit value (the invQ and encoder constants always are).
 func (r *wideRing) scalarWide(s *big.Int) zq.Wide {

@@ -333,6 +333,90 @@ func (r *wordRing) MulCoeffsThenAdd(a, b, out []uint64) {
 	}
 }
 
+// sumBlock is the coefficient block MulCoeffsSum accumulates at a time:
+// two 256-word accumulator arrays (4 KiB) stay in L1 while every term's
+// slice of the block streams through.
+const sumBlock = 256
+
+// termsPerReduce is how many products MulCoeffsSum may add into a
+// 128-bit accumulator before it must reduce: after a reduction the
+// accumulator holds r < q, and T more terms each below q² keep it under
+// r + T·(q−1)² < T·q² ≤ 2^128 for T = ⌊2^(128−2·bits(q))⌋ — 64 terms at
+// 61-bit q, effectively unbounded below 32 bits.
+func termsPerReduce(bitLen int) int {
+	e := 128 - 2*bitLen
+	if e >= 62 {
+		return 1 << 62
+	}
+	return 1 << e
+}
+
+// MulCoeffsSum is the lazily reduced inner product: per block of
+// coefficients it accumulates every term's exact 128-bit product (two
+// words, carry into the high word) and pays one Barrett reduction per
+// coefficient at the end, plus one per termsPerReduce terms. The chain
+// MulCoeffs + Add would instead reduce every product and every partial
+// sum. The result is the same residue, so it is bit-identical.
+func (r *wordRing) MulCoeffsSum(as, bs [][]uint64, lo, hi int, out []uint64) {
+	q := r.mod.Q
+	b0, b1 := r.mod.BRC[0], r.mod.BRC[1]
+	per := termsPerReduce(r.mod.Bits)
+	// reduce is the inlined 128-bit Barrett of MulCoeffs; it is exact for
+	// any 128-bit input (the quotient estimate is off by at most 2).
+	reduce := func(hi, lo uint64) uint64 {
+		ahi, _ := bits.Mul64(lo, b1)
+		bhi, blo := bits.Mul64(lo, b0)
+		chi, clo := bits.Mul64(hi, b1)
+		mid, c1 := bits.Add64(blo, clo, 0)
+		_, c2 := bits.Add64(mid, ahi, 0)
+		qhat := hi*b0 + bhi + chi + c1 + c2
+		v := lo - qhat*q
+		for v >= q {
+			v -= q
+		}
+		return v
+	}
+	var accLo, accHi [sumBlock]uint64
+	for c0 := lo; c0 < hi; c0 += sumBlock {
+		c1 := min(c0+sumBlock, hi)
+		n := c1 - c0
+		aLo, aHi := accLo[:n], accHi[:n]
+		clear(aLo)
+		clear(aHi)
+		pending := 0
+		for j, a := range as {
+			if pending == per {
+				for k := range aLo {
+					aLo[k] = reduce(aHi[k], aLo[k])
+					aHi[k] = 0
+				}
+				pending = 0
+			}
+			pending++
+			a = a[c0:c1:c1]
+			if bs == nil || bs[j] == nil {
+				for k := range aLo {
+					s, c := bits.Add64(aLo[k], a[k], 0)
+					aLo[k] = s
+					aHi[k] += c
+				}
+				continue
+			}
+			b := bs[j][c0:c1:c1]
+			for k := range aLo {
+				ph, pl := bits.Mul64(a[k], b[k])
+				s, c := bits.Add64(aLo[k], pl, 0)
+				aLo[k] = s
+				aHi[k] += ph + c
+			}
+		}
+		o := out[c0:c1:c1]
+		for k := range o {
+			o[k] = reduce(aHi[k], aLo[k])
+		}
+	}
+}
+
 // scalarWord reduces s to a word in [0, q) without allocating on the common
 // paths: non-negative word-sized scalars (every invQ entry and encoder
 // constant) never touch big.Int arithmetic.

@@ -17,6 +17,7 @@ import (
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/henn/ir"
+	"cnnhe/internal/henn/ir/opt"
 	"cnnhe/internal/keys"
 	"cnnhe/internal/telemetry"
 )
@@ -28,13 +29,15 @@ type KeyedConfig struct {
 	// match its params digest exactly.
 	Ctx *ckks.Context
 	// Plan is the single-image inference plan evaluated on the encrypted
-	// route. Its rotation set is the registration requirement.
+	// route. Its rotation set is the registration requirement, and its
+	// Opt selects the optimizer pipeline the served graph runs through
+	// (nil: the full pipeline; opt.Disabled(): the canonical lowering).
 	Plan *henn.Plan
 	// Sharded is the multi-ciphertext alternative to Plan: an input image
 	// that exceeds the slot count travels as the plan's shard set (one
 	// ciphertext frame per shard, back to back in the request body) and
 	// /v1/info advertises the input manifest. Exactly one of Plan and
-	// Sharded must be set.
+	// Sharded must be set; Sharded.Opt is honoured like Plan.Opt.
 	Sharded *henn.ShardedPlan
 	// Model and Backend name the loaded architecture and engine for
 	// GET /v1/info.
@@ -61,14 +64,18 @@ type KeyedConfig struct {
 //	POST /v1/keys                register an evaluation-key bundle
 //	POST /v1/classify/encrypted  ciphertext in, encrypted logits out
 //
-// The encrypted route runs the lowered op-graph on an eval-only engine
+// The encrypted route runs the optimized op-graph on an eval-only engine
 // (henn.RNSEvalEngine) built from the client's registered bundle: no
 // secret key, encryptor, or decryptor is reachable from it, so the
-// handler cannot decrypt what it computes on even in principle.
+// handler cannot decrypt what it computes on even in principle. The
+// graph is lowered and optimized once per server and shared by every
+// client; only the plaintext pre-encoding is per client.
 type Keyed struct {
 	cfg   KeyedConfig
 	store *keys.Store
 	info  client.InfoResponse
+	// opt is the served graph (opt.Graph) and its optimizer outcome.
+	opt *opt.Result
 	// bundleLimit and ctLimit bound request bodies, computed from the
 	// exact wire sizes of the largest legitimate payloads (ctLimit covers
 	// all shard frames of one request).
@@ -80,7 +87,7 @@ type Keyed struct {
 }
 
 // keyedEval is the per-client evaluation state cached on a store entry:
-// a guarded eval-only engine plus the plan's graph prepared (plaintext
+// a guarded eval-only engine plus the served graph prepared (plaintext
 // operands pre-encoded) against it. Guarded by Entry.Mu.
 type keyedEval struct {
 	g    *guard.GuardedEngine
@@ -108,14 +115,25 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	shards := 1
 	var rotations []int
 	var manifest string
+	var optimize func(henn.Engine) (*opt.Result, error)
 	if cfg.Plan != nil {
 		rotations = cfg.Plan.Rotations()
 		inputDim, outputDim = cfg.Plan.InputDim, cfg.Plan.OutputDim
+		optimize = cfg.Plan.Optimize
 	} else {
 		rotations = cfg.Sharded.Rotations()
 		inputDim, outputDim = cfg.Sharded.InputDim, cfg.Sharded.OutputDim
 		shards = cfg.Sharded.NumShards()
 		manifest = client.EncodeManifest(cfg.Sharded.Input)
+		optimize = cfg.Sharded.Optimize
+	}
+	// Lower and optimize once per server. Lowering is symbolic, so the
+	// context's parameters are all it needs, and the graph it yields is
+	// the one every client's eval-only engine executes.
+	p := cfg.Ctx.Params
+	res, err := optimize(henn.ParamsOnlyEngine(cfg.Backend, p.Slots(), p.MaxLevel(), p.Scale, p.QiFloat))
+	if err != nil {
+		return nil, fmt.Errorf("serve: lowering the served plan: %w", err)
 	}
 	store, err := keys.NewStore(keys.Config{
 		Ctx:               cfg.Ctx,
@@ -127,10 +145,10 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.Ctx.Params
 	k := &Keyed{
 		cfg:   cfg,
 		store: store,
+		opt:   res,
 		info: client.InfoResponse{
 			Model:          cfg.Model,
 			Backend:        cfg.Backend,
@@ -150,6 +168,11 @@ func NewKeyed(cfg KeyedConfig) (*Keyed, error) {
 	}
 	return k, nil
 }
+
+// OptResult is the optimizer outcome of the served graph: its Graph is
+// what every encrypted request executes, Summary the before/after line
+// for logs.
+func (k *Keyed) OptResult() *opt.Result { return k.opt }
 
 // Store exposes the bundle store (tests and diagnostics).
 func (k *Keyed) Store() *keys.Store { return k.store }
@@ -373,25 +396,15 @@ func (k *Keyed) finishEncrypted(tc telemetry.TraceContext, outcome string, start
 
 // evalFor returns the entry's cached evaluation state, building it on
 // first use: an eval-only engine over the client's relinearization and
-// rotation keys, wrapped in a guard, with the plan lowered and its
-// plaintext operands pre-encoded against it. Caller holds entry.Mu.
+// rotation keys, wrapped in a guard, with the served graph's plaintext
+// operands pre-encoded against it. Caller holds entry.Mu.
 func (k *Keyed) evalFor(entry *keys.Entry) (*keyedEval, error) {
 	if ev, ok := entry.Eval.(*keyedEval); ok {
 		return ev, nil
 	}
 	eng := henn.NewRNSEvalEngine(k.cfg.Ctx, entry.Bundle.RLK, entry.Bundle.RTK)
 	g := guard.New(eng, k.cfg.Guard)
-	var graph *ir.Graph
-	var err error
-	if k.cfg.Plan != nil {
-		graph, err = k.cfg.Plan.Lower(g)
-	} else {
-		graph, err = k.cfg.Sharded.Lower(g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	prep, err := exec.Prepare(g, graph)
+	prep, err := exec.Prepare(g, k.opt.Graph)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"cnnhe/internal/ckks"
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
-	"cnnhe/internal/henn/exec"
 	"cnnhe/internal/nn"
 	"cnnhe/internal/tensor"
 )
@@ -114,10 +113,11 @@ func TestKeyedShardedInfoAdvertisesManifest(t *testing.T) {
 // TestKeyedShardedRoundTrip is the sharded protocol end to end: the
 // client splits the image by the advertised manifest, ships one
 // ciphertext frame per shard, and the decrypted logits are bit-identical
-// to the same sharded plan evaluated locally under the same keys and
-// encryption randomness.
+// to the same optimized sharded graph evaluated locally under the same
+// keys and encryption randomness.
 func TestKeyedShardedRoundTrip(t *testing.T) {
 	f := newShardedFixture(t)
+	g := servedGraph(t, f.keyed, f.sp.Optimize, f.ctx.Params)
 	ks, info := f.clientKeys(t, 98)
 	man, err := info.Manifest()
 	if err != nil {
@@ -137,24 +137,11 @@ func TestKeyedShardedRoundTrip(t *testing.T) {
 
 	// Reference: identical computation locally with the same key material
 	// and encryption randomness.
-	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
-	g, err := f.sp.Lower(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := exec.Prepare(ref, g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	parts, err := f.sp.Input.Split(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.Run(context.Background(), parts, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.DecryptVec(res.Out)[:f.sp.OutputDim]
+	want := keyedReference(t, ks, g, parts, encSeed, f.sp.OutputDim)
 	for i := range want {
 		if got.Logits[i] != want[i] {
 			t.Fatalf("logit %d: encrypted route %v, local reference %v", i, got.Logits[i], want[i])

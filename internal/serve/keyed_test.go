@@ -14,6 +14,8 @@ import (
 	"cnnhe/internal/client"
 	"cnnhe/internal/henn"
 	"cnnhe/internal/henn/exec"
+	"cnnhe/internal/henn/ir"
+	"cnnhe/internal/henn/ir/opt"
 )
 
 // keyedFixture is a running keyed server over the tiny model plus the
@@ -93,12 +95,51 @@ func (f *keyedFixture) clientKeys(t testing.TB, seed int64) *client.KeySet {
 	return ks
 }
 
+// keyedReference evaluates graph g locally on the client's own key
+// material with the same encryption randomness: the computation the
+// encrypted route must reproduce bit for bit.
+func keyedReference(t testing.TB, ks *client.KeySet, g *ir.Graph, inputs [][]float64, encSeed int64, outDim int) []float64 {
+	t.Helper()
+	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
+	prep, err := exec.Prepare(ref, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(context.Background(), inputs, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref.DecryptVec(res.Out)[:outDim]
+}
+
+// servedGraph re-derives the graph the server should be serving — the
+// plan lowered for the context's parameters and run through the plan's
+// own optimizer setting — and checks the server serves that shape.
+func servedGraph(t testing.TB, k *Keyed, optimize func(henn.Engine) (*opt.Result, error), p ckks.Parameters) *ir.Graph {
+	t.Helper()
+	res, err := optimize(henn.ParamsOnlyEngine("ckks-rns", p.Slots(), p.MaxLevel(), p.Scale, p.QiFloat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.OptResult().After.String(), res.After.String(); got != want {
+		t.Fatalf("server serves %s, plan optimizes to %s", got, want)
+	}
+	if got, want := k.OptResult().Setting, res.Setting; got != want {
+		t.Fatalf("server optimizer setting %q, plan's %q", got, want)
+	}
+	return res.Graph
+}
+
 // TestKeyedEncryptedRoundTrip is the protocol's end-to-end core: keygen
 // → register → encrypt → server-side eval under client keys → local
-// decrypt, with logits bit-identical to the same keys evaluated through
-// the full (secret-holding) engine locally.
+// decrypt, with logits bit-identical to the same keys evaluating the
+// same optimized graph through the full (secret-holding) engine locally.
 func TestKeyedEncryptedRoundTrip(t *testing.T) {
 	f := newKeyedFixture(t)
+	g := servedGraph(t, f.keyed, f.plan.Optimize, f.ctx.Params)
+	if r := f.keyed.OptResult(); r.After.EngineCalls >= r.Before.EngineCalls {
+		t.Fatalf("served graph is not optimized: %s", r.Summary())
+	}
 	ks := f.clientKeys(t, 91)
 	img := testImage(rand.New(rand.NewSource(7)), f.plan.InputDim)
 	const encSeed = 777
@@ -114,20 +155,7 @@ func TestKeyedEncryptedRoundTrip(t *testing.T) {
 
 	// Reference: the identical computation run locally with the same key
 	// material and the same encryption randomness.
-	ref := henn.NewRNSEngineFromKeys(ks.Context(), ks.SK, ks.PK, ks.RLK, ks.RTK, encSeed)
-	g, err := f.plan.Lower(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := exec.Prepare(ref, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prep.Run(context.Background(), [][]float64{img}, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.DecryptVec(res.Out)[:f.plan.OutputDim]
+	want := keyedReference(t, ks, g, [][]float64{img}, encSeed, f.plan.OutputDim)
 	for i := range want {
 		if got.Logits[i] != want[i] {
 			t.Fatalf("logit %d: encrypted route %v, local reference %v", i, got.Logits[i], want[i])
@@ -144,6 +172,39 @@ func TestKeyedEncryptedRoundTrip(t *testing.T) {
 	for i := range want {
 		if again.Logits[i] != want[i] {
 			t.Fatalf("cached-engine logit %d: %v, want %v", i, again.Logits[i], want[i])
+		}
+	}
+}
+
+// TestKeyedHonoursDisabledOptimizer: Plan.Opt = opt.Disabled() (heserve
+// -opt=off) serves the canonical lowering unchanged, bit-identical to a
+// local run of that unoptimized graph.
+func TestKeyedHonoursDisabledOptimizer(t *testing.T) {
+	f := newKeyedFixtureCfg(t, func(cfg *KeyedConfig) { cfg.Plan.Opt = opt.Disabled() })
+	r := f.keyed.OptResult()
+	if r.Setting != "off" || r.After.Ops != r.Before.Ops || len(r.Passes) != 0 {
+		t.Fatalf("opt=off plan served an optimized graph: %s", r.Summary())
+	}
+	g, err := f.plan.Lower(henn.ParamsOnlyEngine("ckks-rns", f.ctx.Params.Slots(),
+		f.ctx.Params.MaxLevel(), f.ctx.Params.Scale, f.ctx.Params.QiFloat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Graph.Stats().String(), g.Stats().String(); got != want {
+		t.Fatalf("served %s, canonical lowering %s", got, want)
+	}
+	ks := f.clientKeys(t, 92)
+	img := testImage(rand.New(rand.NewSource(8)), f.plan.InputDim)
+	const encSeed = 778
+	got, err := f.cl.ClassifyEncrypted(context.Background(), ks, img, f.plan.OutputDim,
+		client.WithEncryptionSeed(encSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := keyedReference(t, ks, g, [][]float64{img}, encSeed, f.plan.OutputDim)
+	for i := range want {
+		if got.Logits[i] != want[i] {
+			t.Fatalf("logit %d: encrypted route %v, unoptimized local reference %v", i, got.Logits[i], want[i])
 		}
 	}
 }
